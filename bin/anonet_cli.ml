@@ -36,7 +36,6 @@ module Las_vegas = Anonet_runtime.Las_vegas
 module Run_ctx = Anonet_runtime.Run_ctx
 module Run_error = Anonet_runtime.Run_error
 module Bundles = Anonet_algorithms.Bundles
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Obs_events = Anonet_obs.Events
@@ -64,12 +63,10 @@ let seed_arg =
   let doc = "Random seed for Las-Vegas stages." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-let jobs_arg =
+let jobs_arg ~doc =
   let doc =
-    "Number of domains (OS threads) for parallel execution.  1 runs \
-     sequentially; higher values race Las-Vegas attempts / shard the \
-     minimal-simulation search / fan out experiment rows, with results \
-     identical to a sequential run."
+    "Number of domains (OS threads) to compute on; 1 runs sequentially.  "
+    ^ doc ^ "  The output is identical at every value."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -200,7 +197,7 @@ let factor_cmd =
 
 let solve_cmd =
   let run_solve problem spec seed trace faults_spec adversary_spec divergence
-      retransmit jobs metrics events =
+      retransmit metrics events =
     if trace then begin
       (* the round-by-round timeline is a local diagnostic: it records and
          renders in-process and has no job-spec equivalent *)
@@ -255,8 +252,7 @@ let solve_cmd =
          serve` executes the same job record, so socket and CLI runs are
          byte-identical by construction *)
       let pairs =
-        [ "problem", problem; "graph", spec; "seed", string_of_int seed;
-          "jobs", string_of_int jobs ]
+        [ "problem", problem; "graph", spec; "seed", string_of_int seed ]
         @ (match faults_spec with None -> [] | Some s -> [ "faults", s ])
         @ (match adversary_spec with None -> [] | Some s -> [ "adversary", s ])
         @ (match divergence with
@@ -274,14 +270,14 @@ let solve_cmd =
     end
   in
   let run problem spec seed trace faults_spec adversary_spec divergence
-      retransmit jobs metrics events =
+      retransmit metrics events =
     (* Fault injection can feed an algorithm messages its protocol never
        anticipated (a loss-induced null mid-phase, a corrupted payload);
        decoders are entitled to reject them.  Report that as the diagnosis
        it is, not as an internal error. *)
     try
       run_solve problem spec seed trace faults_spec adversary_spec divergence
-        retransmit jobs metrics events
+        retransmit metrics events
     with Invalid_argument m when faults_spec <> None || adversary_spec <> None ->
       Printf.eprintf
         "fault injection broke the algorithm's protocol: %s\n\
@@ -296,9 +292,9 @@ let solve_cmd =
   let faults_spec =
     let doc =
       "Inject faults, e.g. 'loss=0.2,seed=7' or \
-       'loss=0.1,dup=0.05,crash=2\\@4,droplink=0-1,budget=10,seed=3'.  Keys: \
-       loss, dup, corrupt (probabilities), seed, budget, crash=V\\@R or \
-       crash=V\\@R1..R2 (crash-recovery), droplink=U-V.  See README."
+       'loss=0.1,dup=0.05,crash=2@4,droplink=0-1,budget=10,seed=3'.  Keys: \
+       loss, dup, corrupt (probabilities), seed, budget, crash=V@R or \
+       crash=V@R1..R2 (crash-recovery), droplink=U-V.  See README."
     in
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
@@ -331,7 +327,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Run the randomized anonymous algorithm (Las-Vegas).")
     Term.(const run $ problem_arg 0 $ Arg.(required & pos 1 (some string) None
                                            & info [] ~docv:"GRAPH") $ seed_arg $ trace
-          $ faults_spec $ adversary_spec $ divergence $ retransmit $ jobs_arg
+          $ faults_spec $ adversary_spec $ divergence $ retransmit
           $ metrics_arg $ events_arg)
 
 let derandomize_cmd =
@@ -361,7 +357,11 @@ let derandomize_cmd =
        ~doc:"Solve the 2-hop colored variant deterministically (Theorems 1-2).")
     Term.(const run $ problem_arg 0
           $ Arg.(required & pos 1 (some string) None & info [] ~docv:"GRAPH")
-          $ coloring $ method_ $ jobs_arg $ metrics_arg $ events_arg)
+          $ coloring $ method_
+          $ jobs_arg
+              ~doc:"Higher values shard each level of the \
+                    minimal-simulation search across the domains."
+          $ metrics_arg $ events_arg)
 
 let decouple_cmd =
   let run problem spec seed stage2 =
@@ -475,7 +475,12 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's figures/theorem validations (EXPERIMENTS.md).")
-    Term.(const run $ id $ jobs_arg $ metrics_arg $ events_arg)
+    Term.(const run $ id
+          $ jobs_arg
+              ~doc:"Higher values compute independent table rows \
+                    concurrently, or shard the minimal-simulation search \
+                    where a table times its rows."
+          $ metrics_arg $ events_arg)
 
 let serve_cmd =
   let run listen jobs max_queue metrics events =

@@ -30,9 +30,10 @@ type result = {
     [Π^c]-instance [g] (labels [<i, c>] with [c] a 2-hop coloring).
 
     The context is forwarded to the minimal-simulation search: [ctx.pool]
-    shards it across a domain pool (identical results; see {!Min_search})
-    and [ctx.obs] instruments it, with the whole derandomization timed
-    under an [a_infinity.solve] span.
+    shards the round-major search across a domain pool (identical
+    results; see {!Min_search}; the node-major order ignores it) and
+    [ctx.obs] instruments it, with the whole derandomization timed under
+    an [a_infinity.solve] span.
 
     @param order        total order for the minimal-simulation search
                         (default {!Min_search.Round_major})

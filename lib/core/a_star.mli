@@ -56,10 +56,10 @@
     validation and the algorithm never produces outputs.
 
     [ctx] is captured by the algorithm's phase computations: its pool
-    parallelizes the Update-Bits searches (byte-identical results, as
-    {!Min_search} guarantees) and its observability handle receives the
-    [search.*], [sim.*] and [cache.search.*] metrics and the
-    [a_star.update_bits] events.
+    parallelizes the round-major Update-Bits searches (byte-identical
+    results, as {!Min_search} guarantees) and its observability handle
+    receives the [search.*], [sim.*] and [cache.search.*] metrics and
+    the [a_star.update_bits] events.
 
     @param order search order for Update-Bits (default
     {!Min_search.Round_major}).

@@ -67,7 +67,7 @@ let free_bits base ~len =
       acc + (len - Bits.length s))
     0 base
 
-let extensions_range base ~len ~lo ~hi =
+let extensions base ~len =
   Array.iter
     (fun s ->
       if Bits.length s > len then
@@ -81,8 +81,6 @@ let extensions_range base ~len ~lo ~hi =
   in
   let f = List.length free in
   if f > 30 then invalid_arg "Bit_assignment.extensions: too many free bits";
-  if lo < 0 || hi > 1 lsl f || lo > hi then
-    invalid_arg "Bit_assignment.extensions_range: bad code range";
   let assignment_of code =
     let suffix = Array.make (Array.length base) [] in
     List.iteri
@@ -94,10 +92,7 @@ let extensions_range base ~len ~lo ~hi =
       (fun i s -> Bits.concat s (Bits.of_list (List.rev suffix.(i))))
       base
   in
-  Seq.map (fun i -> assignment_of (lo + i)) (Seq.init (hi - lo) Fun.id)
-
-let extensions base ~len =
-  extensions_range base ~len ~lo:0 ~hi:(1 lsl free_bits base ~len)
+  Seq.map assignment_of (Seq.init (1 lsl f) Fun.id)
 
 let lift ~map b = Array.map (fun c -> b.(c)) map
 

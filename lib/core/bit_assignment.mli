@@ -61,13 +61,6 @@ val free_bits : t -> len:int -> int
     @raise Invalid_argument if some [base] string is longer than [len]. *)
 val extensions : t -> len:int -> t Seq.t
 
-(** [extensions_range base ~len ~lo ~hi] is the [lo .. hi-1] slice (by
-    enumeration index, i.e. by the integer whose bits fill the free
-    positions) of {!extensions} — random access for sharding the
-    node-major search by fixed bit-prefix.
-    @raise Invalid_argument on a range outside [0 .. 2^f]. *)
-val extensions_range : t -> len:int -> lo:int -> hi:int -> t Seq.t
-
 (** [lift ~map b] pulls an assignment on a factor back to the product:
     product node [v] receives [b.(map.(v))] — how a simulation on the view
     graph induces an execution on the original graph (Section 2.3.2). *)

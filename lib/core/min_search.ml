@@ -376,7 +376,7 @@ let expand_level t ~consider =
    | Truncated -> ());
   !outcome
 
-let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
+let search_round_major ~pool ~obs ~solver g ~base ~max_states ~pruning
     ~len_constraint =
   let max_base = Bit_assignment.max_length base in
   let hard_cap =
@@ -464,7 +464,7 @@ let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
 
 (* ---------- node-major exhaustive enumeration (the paper's order) ------ *)
 
-let search_node_major ?pool ~obs ~solver g ~base ~max_states ~len_constraint =
+let search_node_major ~obs ~solver g ~base ~max_states ~len_constraint =
   let states_c = Obs.counter obs "search.states_explored" in
   let max_base = Bit_assignment.max_length base in
   let lengths =
@@ -475,11 +475,7 @@ let search_node_major ?pool ~obs ~solver g ~base ~max_states ~len_constraint =
     | At_most l -> Seq.init (l - max_base + 1) (fun i -> max_base + i)
   in
   let explored = ref 0 in
-  let simulate assignment =
-    let sim = Simulation.run ~solver g ~bits:assignment in
-    if sim.Simulation.successful then Some (assignment, sim) else None
-  in
-  let try_length_sequential len =
+  let try_length len =
     let free_bits = Bit_assignment.free_bits base ~len in
     check_branching ~free_bits ~limit:node_branching_limit;
     Obs.eventf obs "search.length" (fun () ->
@@ -489,99 +485,32 @@ let search_node_major ?pool ~obs ~solver g ~base ~max_states ~len_constraint =
         incr explored;
         Obs.incr states_c;
         if !explored > max_states then raise Search_limit_exceeded;
-        simulate assignment)
+        let sim = Simulation.run ~solver g ~bits:assignment in
+        if sim.Simulation.successful then Some (assignment, sim) else None)
       (Bit_assignment.extensions base ~len)
-  in
-  (* Sharded by fixed bit-prefix: the [2^f] extension codes of one length
-     split into contiguous blocks (equal high-order prefixes), raced for
-     the lowest block holding a success — which, blocks being ordered,
-     contains the node-major-least success overall.  The search stays
-     sequential-equivalent including its state budget: the sequential loop
-     simulates at most [max_states - explored] codes before raising, so
-     only that prefix of the space is raced, and the winner's offset
-     recovers the exact sequential [explored] count. *)
-  let try_length_racing p len =
-    let f = Bit_assignment.free_bits base ~len in
-    check_branching ~free_bits:f ~limit:node_branching_limit;
-    Obs.eventf obs "search.length" (fun () ->
-        [ ("len", Events.Int len); ("free_bits", Events.Int f) ]);
-    let space = 1 lsl f in
-    let allowed = max_states - !explored in
-    if allowed <= 0 then raise Search_limit_exceeded;
-    let range = min space allowed in
-    let bounds = chunk_bounds ~size:range ~domains:(Pool.domains p) in
-    let task ~stop c =
-      let lo, hi = bounds.(c) in
-      (* Worker-side claim event only; counters are posted by the caller in
-         the deterministic merge below. *)
-      Obs.eventf obs "search.block" (fun () ->
-          [
-            ("len", Events.Int len);
-            ("lo", Events.Int lo);
-            ("hi", Events.Int hi);
-          ]);
-      let rec scan offset seq =
-        if stop () then None
-        else begin
-          match Seq.uncons seq with
-          | None -> None
-          | Some (assignment, rest) ->
-            (match simulate assignment with
-             | Some found -> Some (lo + offset, found)
-             | None -> scan (offset + 1) rest)
-        end
-      in
-      scan 0 (Bit_assignment.extensions_range base ~len ~lo ~hi)
-    in
-    match Pool.race p ~n:(Array.length bounds) task with
-    | Some (_, (code, found)) ->
-      explored := !explored + code + 1;
-      Obs.incr ~by:(code + 1) states_c;
-      Some found
-    | None ->
-      if range < space then raise Search_limit_exceeded
-      else begin
-        explored := !explored + space;
-        Obs.incr ~by:space states_c;
-        None
-      end
-  in
-  let try_length =
-    match pool with
-    | Some p -> try_length_racing p
-    | None -> try_length_sequential
   in
   match Seq.find_map try_length lengths with
   | None -> None
   | Some (assignment, sim) ->
     Some { assignment; sim; states_explored = !explored }
 
-let minimal_successful_with ~obs ~pool ~solver g ~base ?(order = Round_major)
-    ?(max_states = 1_000_000) ?(pruning = true) ~len () =
+let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
+    ?(order = Round_major) ?(max_states = 1_000_000) ?(pruning = true)
+    ~len () =
   if Array.length base <> Graph.n g then
     invalid_arg "Min_search: assignment size differs from graph size";
-  (* A one-domain pool computes nothing in parallel: take the sequential
-     path outright so the two are trivially identical. *)
-  let pool =
-    match pool with Some p when Pool.domains p > 1 -> Some p | _ -> None
-  in
+  let obs = Run_ctx.obs ctx in
   match order with
   | Round_major ->
     Obs.span obs "min_search.round_major" (fun () ->
-        search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
-          ~len_constraint:len)
+        search_round_major ~pool:(Run_ctx.parallel ctx) ~obs ~solver g ~base
+          ~max_states ~pruning ~len_constraint:len)
   | Node_major ->
-    (* The paper's reference order stays an exhaustive enumeration —
-       it is what the pruned search is asserted against. *)
+    (* The paper's reference order stays a sequential exhaustive
+       enumeration — it is what the pruned search is asserted against. *)
     Obs.span obs "min_search.node_major" (fun () ->
-        search_node_major ?pool ~obs ~solver g ~base ~max_states
+        search_node_major ~obs ~solver g ~base ~max_states
           ~len_constraint:len)
-
-let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base ?order
-    ?max_states ?pruning ~len () =
-  minimal_successful_with ~obs:(Run_ctx.obs ctx) ~pool:(Run_ctx.pool ctx)
-    ~solver g ~base ?order ?max_states ?pruning ~len ()
-
 
 (* ---------- resumable round-major search (incremental phase engine) ---- *)
 
@@ -640,17 +569,12 @@ module Resumable = struct
       end
       else false
     in
-    let pool =
-      match Run_ctx.pool ctx with
-      | Some p when Pool.domains p > 1 -> Some p
-      | _ -> None
-    in
     let bfs =
       (* The handle serves [Exactly len] targets, whose completion
          padding breaks cross-level domination — only the per-round
          sensitivity cores apply here, never the subsumption table. *)
-      bfs_start ~obs:(Run_ctx.obs ctx) ~pool ~solver g ~base ~max_states
-        ~pruning ~subsume:false ~consider
+      bfs_start ~obs:(Run_ctx.obs ctx) ~pool:(Run_ctx.parallel ctx) ~solver g
+        ~base ~max_states ~pruning ~subsume:false ~consider
     in
     { bfs; best; consider; floor = -1 }
 

@@ -21,15 +21,14 @@
     All the paper's lemmas are order-agnostic — they only need some
     predetermined total order shared by all nodes.
 
-    Both searches accept an optional domain {!Anonet_parallel.Pool}:
-    round-major shards each level's frontier expansion by entry chunks
-    (stepping and fingerprinting run on all domains; the order-sensitive
-    dedup and the {!Bit_assignment.compare_round_major} tiebreak merge
-    sequentially, in lexicographic order), node-major shards each length's
-    enumeration by fixed bit-prefix and races the blocks for the lowest
-    success.  The minimal assignment found — indeed the entire {!found}
-    record, [states_explored] included — is identical to the sequential
-    search's. *)
+    The round-major search accepts an optional domain
+    {!Anonet_parallel.Pool}: it shards each level's frontier expansion by
+    entry chunks (stepping and fingerprinting run on all domains; the
+    order-sensitive dedup and the {!Bit_assignment.compare_round_major}
+    tiebreak merge sequentially, in lexicographic order).  The minimal
+    assignment found — indeed the entire {!found} record,
+    [states_explored] included — is identical to the sequential search's.
+    The node-major enumeration always runs sequentially. *)
 
 type order =
   | Round_major
@@ -66,15 +65,15 @@ exception Branching_limit_exceeded of { free_bits : int; limit : int }
     simulation on [g] is successful, or [None] if none exists within the
     length constraint.
 
-    From the context: [ctx.pool] shards the search across a domain pool
-    (see above) — the result is bit-for-bit identical to the sequential
-    search; [ctx.obs], when live, mirrors the search effort in the
-    [search.states_explored] counter (equal to the returned
+    From the context: [ctx.pool] shards the round-major search across a
+    domain pool (see above) — the result is bit-for-bit identical to the
+    sequential search; [ctx.obs], when live, mirrors the search effort in
+    the [search.states_explored] counter (equal to the returned
     [states_explored] within one call, in both execution modes), tracks the
     breadth-first frontier in the [search.frontier] gauge (reset to 0 on
     every exit, including raised limits), times the search under a
     [min_search.round_major] / [min_search.node_major] span, and emits
-    ["search.level"] / ["search.length"] / ["search.block"] events.
+    ["search.level"] / ["search.length"] events.
     [ctx.faults] and [ctx.scramble_seed] are not consulted: the search
     semantics is the fault-free deterministic model (a stateful injector
     cannot be shared by branching executions).

@@ -119,7 +119,6 @@ let run_solve ~obs job =
   let problem = required job "problem" in
   let bundle = bundle_of_spec problem in
   let seed = int_key job "seed" 1 in
-  let jobs = int_key job "jobs" 1 in
   let divergence = float_opt_key job "divergence" in
   let plan = faults_key job in
   let adversary = adversary_key job in
@@ -135,11 +134,8 @@ let run_solve ~obs job =
       Anonet_runtime.Retransmit.wrap ~obs bundle.Gran.solver
     else bundle.Gran.solver
   in
-  match
-    with_jobs ~obs jobs (fun pool ->
-        let ctx = Run_ctx.make ?faults:plan ?adversary ?pool ~obs () in
-        Las_vegas.solve ~ctx solver g ~seed ?divergence ())
-  with
+  let ctx = Run_ctx.make ?faults:plan ?adversary ~obs () in
+  match Las_vegas.solve ~ctx solver g ~seed ?divergence () with
   | Error f ->
     {
       code = Run_error.exit_code (Run_error.Las_vegas f);

@@ -38,11 +38,14 @@ val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 (** Runs the job to completion on the calling thread.  Job keys:
 
     - [solve]: [problem], [graph] (required); [seed] (default 1),
-      [faults], [adversary], [divergence], [retransmit] ([true]/[false]),
-      [jobs] (domains for attempt racing, default 1);
+      [faults], [adversary], [divergence], [retransmit] ([true]/[false]);
     - [derandomize]: [problem], [graph] (required); [colors] (default
-      [random:1]), [method] ([a-infinity], default, or [a-star]), [jobs];
-    - [experiment]: [id] (all experiments when absent), [jobs].
+      [random:1]), [method] ([a-infinity], default, or [a-star]), [jobs]
+      (domains sharding the round-major search, default 1);
+    - [experiment]: [id] (all experiments when absent), [jobs] (domains
+      the rows fan out across, default 1).
+
+    Other keys are ignored: a [jobs] key on a [solve] job has no effect.
 
     @raise Bad_spec on unknown keys' values that do not parse, missing
     required keys, or unparseable specs.  Exceptions from the run itself

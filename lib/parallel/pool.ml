@@ -187,42 +187,3 @@ let map t f arr =
     run t ~n (fun i -> out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let race t ~n task =
-  if n <= 0 then None
-  else if t.domains = 1 then begin
-    (* The literal sequential first-success loop: nothing past the winner
-       is ever started. *)
-    let stop () = false in
-    let rec go i =
-      if i >= n then None
-      else begin
-        match task ~stop i with Some v -> Some (i, v) | None -> go (i + 1)
-      end
-    in
-    go 0
-  end
-  else begin
-    let best = Atomic.make max_int in
-    let results = Array.make n None in
-    let body i =
-      (* Skip tasks that already lost; [best] only ever decreases, so a
-         skipped index is always above the final winner. *)
-      if Atomic.get best > i then begin
-        let stop () = Atomic.get best < i in
-        match task ~stop i with
-        | None -> ()
-        | Some v ->
-          results.(i) <- Some v;
-          let rec lower () =
-            let cur = Atomic.get best in
-            if i < cur && not (Atomic.compare_and_set best cur i) then lower ()
-          in
-          lower ()
-      end
-    in
-    run t ~n body;
-    match Atomic.get best with
-    | b when b = max_int -> None
-    | b -> (match results.(b) with Some v -> Some (b, v) | None -> assert false)
-  end

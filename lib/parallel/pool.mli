@@ -1,10 +1,9 @@
 (** A small work-distributing domain pool for the embarrassingly parallel
-    workloads of the derandomization: independent Las-Vegas attempts,
-    disjoint subtrees of the bit-assignment search, independent
-    graph-family experiment rows.
+    workloads of the derandomization: chunks of a round-major search
+    frontier and independent graph-family experiment rows.
 
-    The pool owns [domains - 1] worker domains (the caller of {!map},
-    {!run} or {!race} is always the remaining worker, so a pool of size
+    The pool owns [domains - 1] worker domains (the caller of {!map} or
+    {!run} is always the remaining worker, so a pool of size
     [d] computes on [d] domains).  Work items are indexed [0 .. n-1] and
     distributed dynamically — each participant repeatedly claims the next
     unclaimed index — so uneven item costs balance automatically.  Results
@@ -17,8 +16,8 @@
     in-order loop.  Callers can thread [?pool] unconditionally and let the
     pool decide.
 
-    Pools are not reentrant: do not call {!run}, {!map} or {!race} from
-    inside a task of the same pool. *)
+    Pools are not reentrant: do not call {!run} or {!map} from inside a
+    task of the same pool. *)
 
 type t
 
@@ -56,19 +55,3 @@ val run : t -> n:int -> (int -> unit) -> unit
     array is in input order ([(map t f arr).(i) = f arr.(i)]) — the
     deterministic reduction order downstream merges rely on. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [race t ~n task] races the speculative tasks [0 .. n-1] and returns
-    [Some (i, v)] for the {e lowest} index whose task returned [Some v],
-    or [None] when every task returned [None].
-
-    The guarantee is exactly the sequential first-success semantics: every
-    task with an index below the winner was run to completion and returned
-    [None].  Losers are cancelled via a shared atomic flag: a task whose
-    index already lost (some lower index succeeded) is skipped if not yet
-    started, and its [~stop] callback starts answering [true] so running
-    tasks can abandon work cooperatively ([stop] never answers [true]
-    for a task all of whose lower-indexed rivals may still fail).
-
-    With a sequential pool this is literally the first-success loop: tasks
-    run in index order and nothing after the winner is started. *)
-val race : t -> n:int -> (stop:(unit -> bool) -> int -> 'a option) -> (int * 'a) option

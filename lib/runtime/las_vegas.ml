@@ -1,6 +1,5 @@
 module Graph = Anonet_graph.Graph
 module Prng = Anonet_graph.Prng
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Events = Anonet_obs.Events
 
@@ -29,9 +28,7 @@ let pp_failure fmt f = Format.pp_print_string fmt f.message
    totals across attempts can still approach [max_int]. *)
 let ( ++ ) a b = if a > max_int - b then max_int else a + b
 
-(* ---------- shared between the sequential and racing paths ----------
-   The racing path reconstructs the sequential run's reports and error
-   strings exactly, so both paths format through the same helpers. *)
+(* ---------- failure messages ---------- *)
 
 let describe_last = function
   | None -> ""
@@ -85,9 +82,9 @@ let attempt ~obs algo g ~seed ~faults ~adversary i ~budget =
       ]);
   (* Each attempt gets its own context with a fresh injector (instantiated
      inside [Executor.run]) and a *null* observability handle: a failed
-     speculative attempt must not pollute the run's counters, so attempts
-     surface only as events and the solve-level [lv.*] counters are posted
-     from the final report. *)
+     attempt must not pollute the run's counters, so attempts surface only
+     as events and the solve-level [lv.*] counters are posted from the
+     final report. *)
   let ctx = Run_ctx.make ?faults ?adversary () in
   let outcome =
     match
@@ -108,9 +105,9 @@ let attempt ~obs algo g ~seed ~faults ~adversary i ~budget =
       ]);
   outcome
 
-(* ---------- sequential ---------- *)
+(* ---------- the attempt loop ---------- *)
 
-let solve_sequential ~obs algo g ~seed ~budget_for ~attempts ~giveup ~threshold
+let attempt_loop ~obs algo g ~seed ~budget_for ~attempts ~giveup ~threshold
     ~faults ~adversary =
   let rec go i ~spent ~last_failure =
     if i > attempts then
@@ -153,102 +150,7 @@ let solve_sequential ~obs algo g ~seed ~budget_for ~attempts ~giveup ~threshold
   in
   go 1 ~spent:0 ~last_failure:None
 
-(* ---------- racing ----------
-
-   Attempt outcomes are pure functions of (seed, attempt index, budget), so
-   the attempt the sequential loop would have stopped at — the lowest index
-   with a terminal (success or crash) outcome — is well defined without
-   running attempts in order.  [Pool.race] computes exactly that index,
-   running waves of speculative attempts concurrently and cancelling
-   attempts that already lost, and the report is reassembled from arithmetic
-   the sequential loop would have done: spent rounds are the (deterministic)
-   budgets of the failed lower attempts. *)
-
-let solve_racing ~obs pool algo g ~seed ~budget_for ~attempts ~giveup ~threshold
-    ~faults ~adversary =
-  (* Rounds the sequential loop has spent before attempt [i]: every lower
-     attempt failed and burned its whole budget. *)
-  let spent_before i =
-    let rec go j acc = if j >= i then acc else go (j + 1) (acc ++ budget_for j) in
-    go 1 0
-  in
-  (* The attempts the sequential loop would ever start: the give-up cap
-     truncates the schedule at a point that depends only on the budgets. *)
-  let planned, giveup_at =
-    match giveup with
-    | None -> attempts, None
-    | Some cap ->
-      let rec scan i spent =
-        if i > attempts then attempts, None
-        else begin
-          let b = budget_for i in
-          if i > 1 && spent ++ b > cap then i - 1, Some (cap, b, spent)
-          else scan (i + 1) (spent ++ b)
-        end
-      in
-      scan 1 0
-  in
-  let task ~stop idx =
-    let i = idx + 1 in
-    (* A lower-indexed attempt already won: this attempt's outcome cannot
-       affect the (lowest-terminal-index) result, so skip the work.  Racing
-       and sequential results stay identical — only the wasted speculation
-       is cut short. *)
-    if stop () then begin
-      Obs.eventf obs "attempt.cancel" (fun () -> [ ("attempt", Events.Int i) ]);
-      None
-    end
-    else begin
-      match attempt ~obs algo g ~seed ~faults ~adversary i ~budget:(budget_for i) with
-      | Done _ | Crashed _ as terminal -> Some terminal
-      | Out_of_rounds _ as t when budget_for i >= threshold ->
-        (* Divergence is terminal, and budgets grow monotonically with the
-           attempt index, so the lowest terminal index is still exactly
-           where the sequential loop stops. *)
-        Some t
-      | Out_of_rounds _ -> None
-    end
-  in
-  match Pool.race pool ~n:planned task with
-  | Some (idx, Done outcome) ->
-    let i = idx + 1 in
-    Ok
-      {
-        outcome;
-        attempts = i;
-        seed_used = Prng.hash2 seed i;
-        rounds_spent = spent_before i ++ outcome.rounds;
-      }
-  | Some (idx, Crashed f) ->
-    let i = idx + 1 in
-    Error (fail Network_dead (crash_msg f i (Prng.hash2 seed i)))
-  | Some (idx, Out_of_rounds _) ->
-    let i = idx + 1 in
-    let budget = budget_for i in
-    Error
-      (fail Diverged
-         (diverged_msg ~attempt:i ~budget ~threshold
-            ~spent:(spent_before i ++ budget) ~seed_used:(Prng.hash2 seed i)))
-  | None ->
-    (* Every planned attempt ran out of rounds — reconstruct the failure
-       the last attempt would have reported. *)
-    let last =
-      if planned = 0 then None
-      else begin
-        let b = budget_for planned in
-        Some (Executor.Max_rounds_exceeded b, Prng.hash2 seed planned, b)
-      end
-    in
-    (match giveup_at with
-     | Some (cap, budget, spent) ->
-       Error
-         (fail Gave_up (giveup_msg ~attempts_done:planned ~budget ~cap ~spent ~last))
-     | None ->
-       Error
-         (fail No_success
-            (no_success_msg ~attempts ~spent:(spent_before (attempts + 1)) ~last)))
-
-let solve_with ~obs ~faults ~adversary ~pool algo g ~seed ?max_rounds
+let solve_with ~obs ~faults ~adversary algo g ~seed ?max_rounds
     ?(attempts = 20) ?(backoff = 2.0) ?giveup ?divergence () =
   if backoff < 1.0 then invalid_arg "Las_vegas.solve: backoff < 1";
   (match divergence with
@@ -277,17 +179,12 @@ let solve_with ~obs ~faults ~adversary ~pool algo g ~seed ?max_rounds
   in
   let result =
     Obs.span obs "las_vegas.solve" (fun () ->
-        match pool with
-        | Some p when Pool.domains p > 1 ->
-          solve_racing ~obs p algo g ~seed ~budget_for ~attempts ~giveup
-            ~threshold ~faults ~adversary
-        | Some _ | None ->
-          solve_sequential ~obs algo g ~seed ~budget_for ~attempts ~giveup
-            ~threshold ~faults ~adversary)
+        attempt_loop ~obs algo g ~seed ~budget_for ~attempts ~giveup
+          ~threshold ~faults ~adversary)
   in
   (* The [lv.*] counters mirror the report exactly — the acceptance tests
      compare them field by field — so they are posted from it rather than
-     accumulated along the way (speculative attempts would over-count). *)
+     accumulated along the way (failed attempts would over-count). *)
   (match result with
    | Ok r ->
      Obs.incr ~by:r.attempts (Obs.counter obs "lv.attempts");
@@ -319,7 +216,7 @@ let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?attempts
     | None -> Run_ctx.max_rounds ctx ~n:(Graph.n g)
   in
   solve_with ~obs:(Run_ctx.obs ctx) ~faults:(Run_ctx.faults ctx)
-    ~adversary:(Run_ctx.adversary ctx) ~pool:(Run_ctx.pool ctx) algo g ~seed
+    ~adversary:(Run_ctx.adversary ctx) algo g ~seed
     ~max_rounds ?attempts ?backoff ?giveup ?divergence ()
 
 let solve_msg ?ctx algo g ~seed ?max_rounds ?attempts ?backoff ?giveup

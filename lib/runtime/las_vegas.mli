@@ -13,12 +13,10 @@
     escalate instead of burning the same fixed budget every time.  A
     [giveup] cap bounds the total rounds spent across attempts.
 
-    Because an attempt's outcome is a pure function of [(seed, i, budget)],
-    attempts can also be raced speculatively across a domain pool
-    ({!solve}'s [?pool]): the harness reports the lowest attempt index with
-    a terminal outcome, which is exactly the attempt the sequential loop
-    would have stopped at, so parallel and sequential runs return
-    identical reports and identical error strings. *)
+    An attempt's outcome is a pure function of [(seed, i, budget)], so
+    equal seeds give identical reports and identical error strings.
+    Attempts run one after another on the calling domain; the paper's
+    algorithms normally succeed on the first. *)
 
 type report = {
   outcome : Executor.outcome;
@@ -43,8 +41,7 @@ type failure_reason =
 type failure = {
   reason : failure_reason;
   message : string;
-      (** the exact string {!solve} returns — byte-identical between the
-          sequential and racing paths *)
+      (** the exact string {!solve_msg} returns *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit
@@ -76,29 +73,21 @@ val pp_failure : Format.formatter -> failure -> unit
     is declared diverged ({!Diverged}) instead of retried: past that point
     the failure is systematic — typically an adversary or fault plan
     re-corrupting the run every round — and escalating further cannot
-    help.  Divergence is terminal in both the sequential and racing paths;
-    because budgets grow monotonically, the racing path still stops at
-    exactly the attempt the sequential loop would have.
+    help.
 
     From the context: [ctx.faults] subjects every attempt to a fresh
     injector for the plan (see {!Faults}); a plan that crash-stops all
     nodes fails immediately without retrying.  [ctx.adversary] likewise
     subjects every attempt to a fresh {!Adversary} instance — attempts
-    stay pure functions of [(seed, i, budget)].  [ctx.pool], when sized
-    above one domain, races waves of speculative attempts across the
-    pool's domains, cancelling attempts that already lost via a shared
-    atomic flag.  The result — report or error string — is byte-identical
-    to the sequential run's: the harness selects the lowest attempt index
-    with a terminal outcome and charges the deterministic budgets of the
-    failed attempts below it.
+    stay pure functions of [(seed, i, budget)].  [ctx.pool] is not
+    consulted.
 
-    [ctx.obs] receives [attempt.start]/[attempt.done]/[attempt.cancel]/
-    [attempt.win] events, a [las_vegas.solve] span, and — posted from the
-    final report so they match it exactly in both sequential and racing
-    modes — the [lv.attempts], [lv.rounds_spent], [lv.rounds] and
-    [lv.messages] counters.  The executor runs inside attempts are {e not}
-    individually instrumented: speculative attempts must not pollute the
-    counters.
+    [ctx.obs] receives [attempt.start]/[attempt.done]/[attempt.win]/
+    [lv.fail] events, a [las_vegas.solve] span, and — posted from the
+    final report so they match it exactly — the [lv.attempts],
+    [lv.rounds_spent], [lv.rounds] and [lv.messages] counters.  The
+    executor runs inside attempts are {e not} individually instrumented:
+    failed attempts must not pollute the counters.
     @raise Invalid_argument if [backoff < 1] or [divergence <= 0]. *)
 val solve :
   ?ctx:Run_ctx.t ->

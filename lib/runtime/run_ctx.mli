@@ -53,8 +53,8 @@ val adversary : t -> Adversary.plan option
 
 val parallel : t -> Anonet_parallel.Pool.t option
 (** The pool, but only when it actually runs more than one domain — the
-    guard every parallel path uses before choosing its racing/sharding
-    strategy over the sequential one. *)
+    guard every parallel path uses before choosing its sharded strategy
+    over the sequential one. *)
 
 val max_rounds : t -> n:int -> int
 (** Apply {!max_rounds_policy} to an [n]-node graph. *)

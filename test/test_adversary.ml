@@ -1,15 +1,13 @@
 (* Tests for the adaptive-adversary tier: the spec grammar, seeded
    determinism, budget accounting, the strategies' targeting behavior,
    the checksummed retransmission wrapper's convergence under
-   corruption-only adversaries, Las-Vegas sequential/racing identity
-   with an adversary in the context, and divergence detection with its
-   reserved exit code. *)
+   corruption-only adversaries, and Las-Vegas divergence detection with
+   its reserved exit code. *)
 
 open Anonet_graph
 open Anonet_runtime
 module Catalog = Anonet_problems.Catalog
 module Problem = Anonet_problems.Problem
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 
@@ -275,44 +273,19 @@ let test_async_adversary_is_survivable_and_deterministic () =
   | (Error e, _ | _, Error e) ->
     Alcotest.failf "should finish: %a" Async.pp_failure e
 
-(* ---------- Las-Vegas: racing identity and divergence ---------- *)
-
-let test_las_vegas_pool_identity_under_adversary () =
-  (* Equal seeds produce identical reports (or identical structured
-     failures) at --jobs 1/2/4: attempts instantiate fresh adversaries, so
-     outcomes stay pure functions of (seed, attempt, budget). *)
-  let g = Gen.petersen () in
-  let algo = Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm in
-  let adversary = Adversary.eavesdropper 2 ~strength:0.6 ~seed:11 in
-  let solve pool =
-    Las_vegas.solve
-      ~ctx:(Run_ctx.make ~adversary ?pool ())
-      algo g ~seed:4 ~max_rounds:120 ~attempts:6 ()
-  in
-  let seq = solve None in
-  check "the run is meaningful" true (Result.is_ok seq || Result.is_error seq);
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          check
-            (Printf.sprintf "racing(%d) = sequential" domains)
-            true
-            (solve (Some p) = seq)))
-    [ 2; 4 ]
+(* ---------- Las-Vegas: divergence ---------- *)
 
 let test_divergence_detection () =
   (* Total loss + retransmission never stabilizes: with a divergence
      threshold the harness stops escalating, reports Diverged, and maps to
-     exit code 9 — identically in sequential and racing modes. *)
+     exit code 9. *)
   let g = Gen.cycle 4 in
   let algo = Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm in
   let faults = Faults.with_loss 1.0 ~seed:2 in
-  let solve pool =
-    Las_vegas.solve
-      ~ctx:(Run_ctx.make ~faults ?pool ())
-      algo g ~seed:3 ~max_rounds:50 ~attempts:10 ~divergence:3.0 ()
-  in
-  match solve None with
+  match
+    Las_vegas.solve ~ctx:(Run_ctx.make ~faults ()) algo g ~seed:3
+      ~max_rounds:50 ~attempts:10 ~divergence:3.0 ()
+  with
   | Ok _ -> Alcotest.fail "expected divergence under total loss"
   | Error f ->
     check "reason is Diverged" true (f.Las_vegas.reason = Las_vegas.Diverged);
@@ -322,9 +295,7 @@ let test_divergence_detection () =
       go 0
     in
     check "message says so" true (contains "divergence" f.Las_vegas.message);
-    check_int "exit code 9" 9 (Run_error.exit_code (Run_error.Las_vegas f));
-    Pool.with_pool ~domains:2 (fun p ->
-        check "racing reports the identical failure" true (solve (Some p) = Error f))
+    check_int "exit code 9" 9 (Run_error.exit_code (Run_error.Las_vegas f))
 
 let test_divergence_validates () =
   (match
@@ -384,8 +355,6 @@ let () =
         ] );
       ( "las-vegas",
         [
-          Alcotest.test_case "sequential = racing under adversary" `Slow
-            test_las_vegas_pool_identity_under_adversary;
           Alcotest.test_case "divergence detection + exit code 9" `Quick
             test_divergence_detection;
           Alcotest.test_case "divergence parameter validates" `Quick

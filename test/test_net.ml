@@ -365,12 +365,18 @@ let test_duplicate_stream_rejected () =
      protocol error, the first still completes normally *)
   with_server @@ fun addr ->
   with_raw_conn addr @@ fun fd ->
-  let submit seed =
+  let submit job =
     Frame.write fd
-      { Frame.typ = Frame.Submit; stream = 3; payload = Job.encode (solve_job seed) }
+      { Frame.typ = Frame.Submit; stream = 3; payload = Job.encode job }
   in
-  submit 5;
-  submit 42;
+  (* the first job must still be in flight when the duplicate is read: a
+     job of a few milliseconds sometimes finished before the server's
+     reader thread got to the second frame, which then legitimately
+     reused the freed stream *)
+  submit
+    { Job.kind = Job.Solve;
+      pairs = [ "problem", "mis"; "graph", "gnp:20000,8,1" ] };
+  submit (solve_job 42);
   (* per-connection frames are FIFO: the duplicate's rejection (enqueued
      by the reader) precedes the first job's result (enqueued later by a
      worker) *)

@@ -13,7 +13,6 @@ open Anonet
 module Metrics = Anonet_obs.Metrics
 module Events = Anonet_obs.Events
 module Obs = Anonet_obs.Obs
-module Pool = Anonet_parallel.Pool
 module Catalog = Anonet_problems.Catalog
 module Problem = Anonet_problems.Problem
 module Experiments = Anonet_experiments.Experiments
@@ -470,19 +469,6 @@ let test_executor_obs_identity () =
   in
   check "instrumented run agrees" true (via_ctx = observed)
 
-let test_las_vegas_obs_identity () =
-  let g = Gen.cycle 6 in
-  let plan = Faults.with_loss 0.2 ~seed:21 in
-  let algo = Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm in
-  let solve_with ?pool () =
-    Las_vegas.solve ~ctx:(Run_ctx.make ~faults:plan ?pool ()) algo g ~seed:5 ()
-  in
-  let sequential = solve_with () in
-  (* byte-identity across jobs 1 and 4 *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let raced = solve_with ~pool () in
-      check "jobs=4 agrees with jobs=1" true (sequential = raced))
-
 (* ---------- acceptance: NDJSON stream of a seed-fixed faulty solve ---------- *)
 
 let test_ndjson_golden_solve () =
@@ -490,17 +476,15 @@ let test_ndjson_golden_solve () =
   let oc = open_out path in
   let registry = Metrics.create () in
   let result =
-    Pool.with_pool ~domains:2 (fun pool ->
-        let ctx =
-          Run_ctx.make
-            ~faults:(Faults.with_loss 0.2 ~seed:21)
-            ~pool
-            ~obs:(Obs.make ~metrics:registry ~events:(Events.ndjson oc) ())
-            ()
-        in
-        Las_vegas.solve ~ctx
-          (Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm)
-          (Gen.cycle 6) ~seed:5 ())
+    let ctx =
+      Run_ctx.make
+        ~faults:(Faults.with_loss 0.2 ~seed:21)
+        ~obs:(Obs.make ~metrics:registry ~events:(Events.ndjson oc) ())
+        ()
+    in
+    Las_vegas.solve ~ctx
+      (Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm)
+      (Gen.cycle 6) ~seed:5 ()
   in
   close_out oc;
   (match result with
@@ -510,7 +494,7 @@ let test_ndjson_golden_solve () =
   check "stream non-empty" true (events <> []);
   let allowed =
     [ "span.open"; "span.close"; "attempt.start"; "attempt.done";
-      "attempt.cancel"; "attempt.win"; "lv.fail" ]
+      "attempt.win"; "lv.fail" ]
   in
   List.iteri
     (fun i j ->
@@ -527,10 +511,10 @@ let test_ndjson_golden_solve () =
   check_int "solve span closed once" 1 (List.length (named "span.close"));
   check "span is the solve" true
     (as_str (obj_field (List.hd (named "span.open")) "span") = "las_vegas.solve");
-  (* every started attempt is resolved: done or cancelled *)
-  check "attempts resolved" true
-    (List.length (named "attempt.start")
-     = List.length (named "attempt.done") + List.length (named "attempt.cancel"))
+  (* every started attempt runs to its end *)
+  check_int "attempts resolved"
+    (List.length (named "attempt.start"))
+    (List.length (named "attempt.done"))
 
 (* ---------- acceptance: null-handle overhead stays within noise ---------- *)
 
@@ -637,7 +621,6 @@ let () =
           t "counters: lossy retransmitted solve" test_counters_lossy_solve;
           t "counters: node-major search" test_counters_node_major_search;
           t "obs identity: executor" test_executor_obs_identity;
-          t "obs identity: las-vegas, jobs 1 and 4" test_las_vegas_obs_identity;
           t "ndjson golden solve" test_ndjson_golden_solve;
           t "null-handle overhead guard" test_null_overhead_guard;
         ] );

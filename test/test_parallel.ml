@@ -1,18 +1,14 @@
 (* Tests for the multicore execution layer: the domain pool itself, and
-   the sequential-equivalence guarantees of the three parallelized hot
-   paths — Las-Vegas attempt racing, the sharded minimal-simulation
-   search, and (indirectly via those) the experiment row fan-out.  All
-   equivalence tests run the same call with no pool and with pools of
-   1, 2 and 4 domains and demand identical results, down to attempt
-   counts, state counters and error strings. *)
+   the sequential-equivalence guarantee of the sharded round-major
+   minimal-simulation search.  The equivalence tests run the same call
+   with no pool and with pools of 1, 2 and 4 domains and demand identical
+   results, down to state counters.  Also here: the Las-Vegas budget
+   clamp and the typed branching limits of both search orders. *)
 
 open Anonet_graph
 open Anonet
 module Pool = Anonet_parallel.Pool
 module Las_vegas = Anonet_runtime.Las_vegas
-module Executor = Anonet_runtime.Executor
-module Faults = Anonet_runtime.Faults
-module Retransmit = Anonet_runtime.Retransmit
 module Run_ctx = Anonet_runtime.Run_ctx
 
 let check = Alcotest.(check bool)
@@ -76,45 +72,6 @@ let test_pool_run_propagates_exception () =
             out))
     pool_sizes
 
-let test_pool_race_lowest_wins () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (* Several tasks succeed; the lowest index must win even if a
-             higher one finishes first. *)
-          let result =
-            Pool.race p ~n:10 (fun ~stop:_ i ->
-                if i = 3 || i = 5 || i = 8 then Some (i * 100) else None)
-          in
-          check (Printf.sprintf "winner 3 on %d domains" domains) true
-            (result = Some (3, 300));
-          let nobody = Pool.race p ~n:10 (fun ~stop:_ _ -> None) in
-          check "all-None race" true (nobody = None);
-          let empty = Pool.race p ~n:0 (fun ~stop:_ _ -> None) in
-          check "empty race" true (empty = None)))
-    pool_sizes
-
-let test_pool_race_runs_everything_below_winner () =
-  (* Sequential-equivalence core: every index below the winner must have
-     run to completion (and returned None). *)
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let ran = Array.init 20 (fun _ -> Atomic.make false) in
-          let result =
-            Pool.race p ~n:20 (fun ~stop:_ i ->
-                Atomic.set ran.(i) true;
-                if i >= 11 then Some i else None)
-          in
-          check "winner 11" true (result = Some (11, 11));
-          for i = 0 to 11 do
-            check
-              (Printf.sprintf "index %d ran (%d domains)" i domains)
-              true
-              (Atomic.get ran.(i))
-          done))
-    pool_sizes
-
 let test_pool_shutdown () =
   let p = Pool.create ~domains:3 () in
   let out = Pool.map p string_of_int (Array.init 5 (fun i -> i)) in
@@ -128,102 +85,7 @@ let test_pool_shutdown () =
    | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
    | exception Invalid_argument _ -> ())
 
-(* ---------- Las-Vegas racing = sequential ---------- *)
-
-let equivalence_graphs =
-  [ "cycle-6", Gen.cycle 6;
-    "cycle-7", Gen.cycle 7;
-    "petersen", Gen.petersen ();
-    "random-9", Gen.random_connected ~seed:5 9 0.3;
-    "random-11", Gen.random_connected ~seed:8 11 0.25;
-  ]
-
-let report_equal (a : Las_vegas.report) (b : Las_vegas.report) =
-  a.Las_vegas.attempts = b.Las_vegas.attempts
-  && a.Las_vegas.seed_used = b.Las_vegas.seed_used
-  && a.Las_vegas.rounds_spent = b.Las_vegas.rounds_spent
-  && a.Las_vegas.outcome.Executor.rounds = b.Las_vegas.outcome.Executor.rounds
-  && a.Las_vegas.outcome.Executor.messages = b.Las_vegas.outcome.Executor.messages
-  && Array.for_all2 Label.equal a.Las_vegas.outcome.Executor.outputs
-       b.Las_vegas.outcome.Executor.outputs
-
-let check_lv_equivalent name solve =
-  let sequential = solve None in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let parallel = solve (Some p) in
-          match sequential, parallel with
-          | Ok a, Ok b ->
-            check
-              (Printf.sprintf "%s: identical report (%d domains)" name domains)
-              true (report_equal a b)
-          | Error a, Error b ->
-            check
-              (Printf.sprintf "%s: identical failure reason (%d domains)" name
-                 domains)
-              true
-              (a.Las_vegas.reason = b.Las_vegas.reason);
-            check_string
-              (Printf.sprintf "%s: identical error (%d domains)" name domains)
-              a.Las_vegas.message b.Las_vegas.message
-          | Ok _, Error f ->
-            Alcotest.fail
-              (Printf.sprintf "%s: sequential Ok but %d domains Error %s" name
-                 domains f.Las_vegas.message)
-          | Error f, Ok _ ->
-            Alcotest.fail
-              (Printf.sprintf "%s: sequential Error %s but %d domains Ok" name
-                 f.Las_vegas.message domains)))
-    pool_sizes
-
-let test_lv_equivalence_easy () =
-  (* Default budgets: the first attempt almost always succeeds; racing
-     must agree on attempt 1 and its outcome. *)
-  List.iter
-    (fun (name, g) ->
-      check_lv_equivalent name (fun pool ->
-          Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm g ~seed:7 ~ctx:(Run_ctx.make ?pool ()) ()))
-    equivalence_graphs
-
-let test_lv_equivalence_forced_retries () =
-  (* A starvation budget forces several failed attempts before the
-     backoff escalates far enough: racing must charge exactly the same
-     failed budgets and stop at the same attempt. *)
-  List.iter
-    (fun (name, g) ->
-      check_lv_equivalent (name ^ "/tight") (fun pool ->
-          Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm g ~seed:3
-            ~max_rounds:1 ~attempts:25 ~ctx:(Run_ctx.make ?pool ()) ()))
-    equivalence_graphs
-
-let test_lv_equivalence_no_success_error () =
-  (* backoff 1.0 with a hopeless budget: every attempt fails, and the
-     no-success error string must match the sequential one verbatim. *)
-  check_lv_equivalent "no-success" (fun pool ->
-      Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:1 ~backoff:1.0 ~attempts:6 ~ctx:(Run_ctx.make ?pool ()) ())
-
-let test_lv_equivalence_giveup_error () =
-  (* The give-up truncation point is budget arithmetic only; both paths
-     must cut the schedule at the same attempt and render the same cap
-     message. *)
-  check_lv_equivalent "giveup" (fun pool ->
-      Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:2 ~giveup:20 ~attempts:10 ~ctx:(Run_ctx.make ?pool ()) ())
-
-let test_lv_equivalence_under_faults () =
-  (* A lossy fault plan (fresh injector per attempt) behind the
-     retransmission wrapper: outcomes stay pure functions of the attempt
-     index, so racing still reconstructs the sequential report. *)
-  let wrapped = Retransmit.wrap Anonet_algorithms.Rand_mis.algorithm in
-  List.iter
-    (fun (name, g) ->
-      check_lv_equivalent (name ^ "/faults") (fun pool ->
-          Las_vegas.solve
-            ~ctx:(Run_ctx.make ~faults:(Faults.with_loss 0.15 ~seed:9) ?pool ())
-            wrapped g ~seed:11 ()))
-    [ "cycle-6", Gen.cycle 6; "petersen", Gen.petersen () ]
+(* ---------- Las-Vegas budget arithmetic ---------- *)
 
 let test_lv_backoff_overflow_clamped () =
   (* Regression: backoff 10 reaches 10^29 * base_rounds long before
@@ -300,20 +162,10 @@ let test_search_equivalence_round_major () =
             ~order:Min_search.Round_major ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 16) ()))
     search_graphs
 
-let test_search_equivalence_node_major () =
-  List.iter
-    (fun (name, g) ->
-      check_search_equivalent (name ^ "/node-major") (fun pool ->
-          Min_search.minimal_successful
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g
-            ~base:(Bit_assignment.empty (Graph.n g))
-            ~order:Min_search.Node_major ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 4) ()))
-    search_graphs
-
 let test_search_equivalence_orders_agree () =
-  (* Round-major's minimal assignment, re-checked against the exhaustive
-     node-major enumeration under both execution modes: all four runs
-     must find a successful assignment of the same minimal length. *)
+  (* Round-major's minimal assignment, sequential and pooled, re-checked
+     against the exhaustive node-major enumeration: all three runs must
+     find a successful assignment of the same minimal length. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
   let run order pool =
     Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm g
@@ -324,11 +176,10 @@ let test_search_equivalence_orders_agree () =
     let len f = Bit_assignment.max_length f.Min_search.assignment in
     check_int "orders agree on minimal length" (len rm) (len nm);
     Pool.with_pool ~domains:4 (fun p ->
-        match run Min_search.Round_major (Some p), run Min_search.Node_major (Some p) with
-        | Some rm', Some nm' ->
-          check "round-major parallel identical" true (found_equal rm rm');
-          check "node-major parallel identical" true (found_equal nm nm')
-        | _ -> Alcotest.fail "parallel search lost the assignment")
+        match run Min_search.Round_major (Some p) with
+        | Some rm' ->
+          check "round-major parallel identical" true (found_equal rm rm')
+        | None -> Alcotest.fail "parallel search lost the assignment")
   | _ -> Alcotest.fail "sequential search found nothing"
 
 let test_search_equivalence_search_limit () =
@@ -404,30 +255,20 @@ let test_branching_limit_node_major () =
   | exception Min_search.Search_limit_exceeded -> ()
 
 let test_branching_limit_parallel_agrees () =
-  (* The parallel paths enforce the same limits with the same payload. *)
+  (* The pooled round-major search enforces the same limit with the same
+     payload. *)
   Pool.with_pool ~domains:2 (fun p ->
       let g25 = Gen.label_with_ints (Gen.cycle 25) in
-      (match
-         Min_search.minimal_successful
-           ~solver:Anonet_algorithms.Rand_mis.algorithm g25
-           ~base:(Bit_assignment.empty 25)
-           ~ctx:(Run_ctx.make ~pool:p ()) ~len:(Min_search.At_most 4) ()
-       with
-       | _ -> Alcotest.fail "expected Branching_limit_exceeded"
-       | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-         check_int "free bits" 25 free_bits;
-         check_int "limit" 24 limit);
-      let g31 = Gen.label_with_ints (Gen.cycle 31) in
       match
-        Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
-          g31
-          ~base:(Bit_assignment.empty 31)
-          ~order:Min_search.Node_major ~ctx:(Run_ctx.make ~pool:p ()) ~len:(Min_search.At_most 2) ()
+        Min_search.minimal_successful
+          ~solver:Anonet_algorithms.Rand_mis.algorithm g25
+          ~base:(Bit_assignment.empty 25)
+          ~ctx:(Run_ctx.make ~pool:p ()) ~len:(Min_search.At_most 4) ()
       with
       | _ -> Alcotest.fail "expected Branching_limit_exceeded"
       | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-        check_int "free bits" 31 free_bits;
-        check_int "limit" 30 limit)
+        check_int "free bits" 25 free_bits;
+        check_int "limit" 24 limit)
 
 let test_a_infinity_degrades_gracefully () =
   (* Through A_infinity the typed limits come back as Error strings, not
@@ -452,52 +293,27 @@ let test_a_infinity_degrades_gracefully () =
 
 (* ---------- QCheck: equivalence on random graphs ---------- *)
 
-let qcheck_lv_equivalence =
-  QCheck.Test.make ~name:"las-vegas racing = sequential on random graphs"
-    ~count:12
-    QCheck.(pair (int_range 4 10) (int_range 1 1000))
-    (fun (n, seed) ->
-      let g = Gen.random_connected ~seed n 0.35 in
-      let solve pool =
-        Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm g ~seed
-          ~max_rounds:4 ~attempts:15 ~ctx:(Run_ctx.make ?pool ()) ()
-      in
-      let sequential = solve None in
-      List.for_all
-        (fun domains ->
-          Pool.with_pool ~domains (fun p ->
-              match sequential, solve (Some p) with
-              | Ok a, Ok b -> report_equal a b
-              | Error a, Error b ->
-                a.Las_vegas.reason = b.Las_vegas.reason
-                && String.equal a.Las_vegas.message b.Las_vegas.message
-              | _ -> false))
-        [ 2; 4 ])
-
 let qcheck_search_equivalence =
   QCheck.Test.make ~name:"sharded min-search = sequential on random graphs"
     ~count:8
     QCheck.(int_range 1 1000)
     (fun seed ->
       let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
-      let search order pool =
+      let search pool =
         Min_search.minimal_successful
           ~solver:Anonet_algorithms.Rand_mis.algorithm g
-          ~base:(Bit_assignment.empty 4) ~order ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 6)
-          ()
+          ~base:(Bit_assignment.empty 4) ~ctx:(Run_ctx.make ?pool ())
+          ~len:(Min_search.At_most 6) ()
       in
+      let sequential = search None in
       List.for_all
-        (fun order ->
-          let sequential = search order None in
-          List.for_all
-            (fun domains ->
-              Pool.with_pool ~domains (fun p ->
-                  match sequential, search order (Some p) with
-                  | None, None -> true
-                  | Some a, Some b -> found_equal a b
-                  | _ -> false))
-            [ 2; 4 ])
-        [ Min_search.Round_major; Min_search.Node_major ])
+        (fun domains ->
+          Pool.with_pool ~domains (fun p ->
+              match sequential, search (Some p) with
+              | None, None -> true
+              | Some a, Some b -> found_equal a b
+              | _ -> false))
+        [ 2; 4 ])
 
 let () =
   Alcotest.run "parallel"
@@ -510,34 +326,17 @@ let () =
             test_pool_run_each_index_once;
           Alcotest.test_case "run propagates exceptions" `Quick
             test_pool_run_propagates_exception;
-          Alcotest.test_case "race: lowest index wins" `Quick
-            test_pool_race_lowest_wins;
-          Alcotest.test_case "race: runs everything below winner" `Quick
-            test_pool_race_runs_everything_below_winner;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
         ] );
       ( "las-vegas",
         [
-          Alcotest.test_case "equivalence: default budgets" `Quick
-            test_lv_equivalence_easy;
-          Alcotest.test_case "equivalence: forced retries" `Quick
-            test_lv_equivalence_forced_retries;
-          Alcotest.test_case "equivalence: no-success error" `Quick
-            test_lv_equivalence_no_success_error;
-          Alcotest.test_case "equivalence: give-up error" `Quick
-            test_lv_equivalence_giveup_error;
-          Alcotest.test_case "equivalence: under fault plan" `Quick
-            test_lv_equivalence_under_faults;
           Alcotest.test_case "backoff overflow clamped" `Quick
             test_lv_backoff_overflow_clamped;
-          QCheck_alcotest.to_alcotest qcheck_lv_equivalence;
         ] );
       ( "min-search",
         [
           Alcotest.test_case "equivalence: round-major" `Quick
             test_search_equivalence_round_major;
-          Alcotest.test_case "equivalence: node-major" `Quick
-            test_search_equivalence_node_major;
           Alcotest.test_case "equivalence: orders agree" `Quick
             test_search_equivalence_orders_agree;
           Alcotest.test_case "equivalence: search limit" `Quick
