@@ -116,9 +116,9 @@ let with_obs metrics events f =
         (match metrics with
          | None -> ()
          | Some fmt ->
-           (* Fold the process-lifetime cache totals (the cache.view and
-              cache.encode families) into the registry — once, right before
-              the snapshot. *)
+           (* Fold the process-lifetime interning totals (the cache.view
+              family) into the registry — once, right before the
+              snapshot. *)
            Anonet_views.Interned.publish_metrics obs;
            (match fmt with
             | `Text -> print_string (Metrics.render_text (Metrics.snapshot registry))

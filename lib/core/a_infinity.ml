@@ -13,8 +13,12 @@ type result = {
   decider_confirmed : bool;
 }
 
+(* The decider is a randomized run; a fixed seed keeps [solve]
+   deterministic. *)
+let decider_seed = 1
+
 let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
-    ?(max_len = 64) ?(decider_seed = 1) ?pruning () =
+    ?(max_len = 64) ?pruning () =
   Obs.span (Run_ctx.obs ctx) "a_infinity.solve" @@ fun () ->
   let colored = Problem.colored_variant gran.Gran.problem in
   if not (colored.Problem.is_instance g) then

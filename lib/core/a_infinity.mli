@@ -33,12 +33,12 @@ type result = {
     shards the round-major search across a domain pool (identical
     results; see {!Min_search}; the node-major order ignores it) and
     [ctx.obs] instruments it, with the whole derandomization timed under
-    an [a_infinity.solve] span.
+    an [a_infinity.solve] span.  The (randomized) decider runs with the
+    fixed seed [1], so [solve] is deterministic.
 
     @param order        total order for the minimal-simulation search
                         (default {!Min_search.Round_major})
     @param max_len      simulation length bound (default [64])
-    @param decider_seed seed for the (randomized) decider run (default 1)
     @param pruning      core-guided pruning for the search (default
                         [true]; see {!Min_search.minimal_successful} —
                         value-identical either way, kept for ablation)
@@ -53,7 +53,6 @@ val solve :
   Anonet_graph.Graph.t ->
   ?order:Min_search.order ->
   ?max_len:int ->
-  ?decider_seed:int ->
   ?pruning:bool ->
   unit ->
   (result, string) Stdlib.result

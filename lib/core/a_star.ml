@@ -29,8 +29,8 @@ type computation = {
    memo per problem — repeated solves over the same instance family (warm
    restarts, node classes sharing a view, benchmark sweeps) skip quotient
    construction entirely.  Tables are found by the problem value's physical
-   identity (problems are top-level bundle constants) and capped with the
-   same LRU-quartile policy as the encoding cache. *)
+   identity (problems are top-level bundle constants) and capped by
+   evicting the least-recently-used quartile in one scan. *)
 type cand_entry = {
   cands : Candidates.t list;
   mutable cstamp : int;  (* LRU clock tick of the last use; under [clock] *)
@@ -74,8 +74,11 @@ let cand_evict_locked t =
     done
   end
 
+(* Per-search frontier bound; cumulative over a warm handle's lifetime. *)
+let max_search_states = 1_000_000
+
 let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
-    ?(max_search_states = 1_000_000) ?(incremental = true)
+    ?(incremental = true)
     ?(search_cache_cap = 32) ?(pruning = true) () : Algorithm.t =
   (module struct
     let name = "a-star:" ^ gran.Gran.problem.Anonet_problems.Problem.name
@@ -116,10 +119,10 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
        simulation (Update-Output) is identical work and the exactly-p bit
        search (Update-Bits) is a one-level extension of the previous
        phase's frontier (the prefix property behind Lemma 9).  Cache
-       both, keyed by the candidate's canonical encoding: [Graph.id]s are
-       freshened at every construction and candidates are rebuilt each
-       phase, but the encoding pins the whole candidate — [n], the edge
-       set, and the [<<i, c>, b>] labels, hence the base assignment too.
+       both, keyed by the candidate's canonical encoding: candidates are
+       rebuilt each phase, but the encoding pins the whole candidate —
+       [n], the edge set, and the [<<i, c>, b>] labels, hence the base
+       assignment too.
        One candidate entry serves every node class that selects it. *)
     type search_entry = {
       sim : Simulation.result;  (* Update-Output on the candidate *)

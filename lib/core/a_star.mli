@@ -59,13 +59,12 @@
     parallelizes the round-major Update-Bits searches (byte-identical
     results, as {!Min_search} guarantees) and its observability handle
     receives the [search.*], [sim.*] and [cache.search.*] metrics and
-    the [a_star.update_bits] events.
+    the [a_star.update_bits] events.  Each Update-Bits search is bounded
+    by [1_000_000] frontier states (for warm searches, cumulatively over
+    a handle's lifetime).
 
     @param order search order for Update-Bits (default
     {!Min_search.Round_major}).
-    @param max_search_states per-search frontier bound (default
-    [1_000_000]); for warm searches the bound is cumulative over a
-    handle's lifetime.
     @param incremental enable the cross-phase cache (default [true]; the
     cold path is kept for ablation and for the equivalence tests).
     @param search_cache_cap bound on live cache entries (default [32]).
@@ -76,7 +75,6 @@ val make :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
   ?order:Min_search.order ->
-  ?max_search_states:int ->
   ?incremental:bool ->
   ?search_cache_cap:int ->
   ?pruning:bool ->

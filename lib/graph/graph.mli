@@ -81,14 +81,6 @@ val permute_ports : t -> int array array -> t
 
 (** {2 Accessors} *)
 
-(** [id g] is a process-unique identity token: every construction — including
-    the functional updates [relabel], [with_labels], [map_labels],
-    [zip_labels] and [permute_ports] — returns a graph with a fresh id.
-    Structurally equal graphs built separately have {e distinct} ids.  Meant
-    for identity-keyed caches (see {!Encode.canonical}); it carries no
-    structural information and the simulated algorithms never see it. *)
-val id : t -> int
-
 val n : t -> int
 
 val num_edges : t -> int

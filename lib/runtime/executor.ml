@@ -623,11 +623,12 @@ end
    simulation with zero per-round allocation by double-buffering the inbox
    arena in place.  Also memoizes the layout of the last (algorithm, graph)
    pair — batched candidate searches simulate the same graph millions of
-   times — including negative answers (no flat companion / plan declined). *)
+   times — including negative answers (no flat companion / plan declined).
+   The memo compares both physically: functional updates of a graph share
+   its CSR arrays but are new records, so they miss. *)
 module Scratch = struct
   type t = {
-    mutable c_algo : Algorithm.t option;
-    mutable c_gid : int;
+    mutable c_key : (Algorithm.t * Graph.t) option;
     mutable c_lay : Incremental.layout option;
     mutable states : int array;
     mutable inbox_a : int array;
@@ -638,8 +639,7 @@ module Scratch = struct
 
   let create () =
     {
-      c_algo = None;
-      c_gid = -1;
+      c_key = None;
       c_lay = None;
       states = [||];
       inbox_a = [||];
@@ -649,17 +649,15 @@ module Scratch = struct
     }
 
   let layout t algo g =
-    let gid = Graph.id g in
-    match t.c_algo with
-    | Some a when a == algo && t.c_gid = gid -> t.c_lay
+    match t.c_key with
+    | Some (a, g') when a == algo && g' == g -> t.c_lay
     | _ ->
       let lay =
         match Algorithm.find_flat algo with
         | None -> None
         | Some flat -> Incremental.layout_of flat g
       in
-      t.c_algo <- Some algo;
-      t.c_gid <- gid;
+      t.c_key <- Some (algo, g);
       t.c_lay <- lay;
       lay
 

@@ -1,6 +1,5 @@
 module Graph = Anonet_graph.Graph
 module Label = Anonet_graph.Label
-module Encode = Anonet_graph.Encode
 module Obs = Anonet_obs.Obs
 
 (* A view node is an integer handle [slot lsl shard_bits lor shard]; all node
@@ -293,10 +292,5 @@ let publish_metrics obs =
     let s = stats () in
     Obs.incr ~by:s.hits (Obs.counter obs "cache.view.hits");
     Obs.incr ~by:s.misses (Obs.counter obs "cache.view.misses");
-    Obs.set (Obs.gauge obs "cache.view.nodes") s.nodes;
-    let e = Encode.cache_stats () in
-    Obs.incr ~by:e.Encode.hits (Obs.counter obs "cache.encode.hits");
-    Obs.incr ~by:e.Encode.misses (Obs.counter obs "cache.encode.misses");
-    Obs.incr ~by:e.Encode.evictions (Obs.counter obs "cache.encode.evictions");
-    Obs.set (Obs.gauge obs "cache.encode.entries") e.Encode.entries
+    Obs.set (Obs.gauge obs "cache.view.nodes") s.nodes
   end

@@ -106,11 +106,9 @@ type stats = {
 (** Process-lifetime totals for the intern arena. *)
 val stats : unit -> stats
 
-(** [publish_metrics obs] records the interning totals ({!stats}) and the
-    canonical-encoding cache totals ({!Anonet_graph.Encode.cache_stats}) in
-    [obs]'s metrics registry: counters [cache.view.hits], [cache.view.misses],
-    [cache.encode.hits], [cache.encode.misses], [cache.encode.evictions] and
-    gauges [cache.view.nodes], [cache.encode.entries].  The counters carry
+(** [publish_metrics obs] records the interning totals ({!stats}) in
+    [obs]'s metrics registry: counters [cache.view.hits],
+    [cache.view.misses] and gauge [cache.view.nodes].  The counters carry
     process-lifetime totals — call this once per registry, just before
     taking its snapshot (the CLI metrics trailer and [bench-json] do exactly
     that).  A no-op on {!Anonet_obs.Obs.null}. *)

@@ -1,5 +1,4 @@
 module Graph = Anonet_graph.Graph
-module Encode = Anonet_graph.Encode
 
 type t = {
   graph : Graph.t;
@@ -69,5 +68,3 @@ let of_graph_exn g =
   match of_graph g with
   | Ok t -> t
   | Error msg -> invalid_arg ("View_graph.of_graph_exn: " ^ msg)
-
-let encoding t = Encode.canonical t.graph

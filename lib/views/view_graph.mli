@@ -29,7 +29,3 @@ val of_graph : Anonet_graph.Graph.t -> (t, string) result
 
 (** [of_graph_exn g] is [of_graph], raising [Invalid_argument] on [Error]. *)
 val of_graph_exn : Anonet_graph.Graph.t -> t
-
-(** [encoding vg] is the canonical bitstring [s(G)] under the canonical
-    class order. *)
-val encoding : t -> string

@@ -206,6 +206,104 @@ let prop_simulation_random =
         algorithms;
       true)
 
+(* ---------- one batch across derived graphs ---------- *)
+
+(* A port-sensitive probe: in round 1 every node broadcasts its input, in
+   round 2 it outputs whatever arrived on port 0 (its own input when it
+   has no ports).  The flat companion packs the input as an int, so its
+   plan declines graphs with non-[Int] labels. *)
+module Port0 = struct
+  type state = { input : Label.t; degree : int; sent : bool; out : Label.t option }
+
+  let name = "port0-probe"
+
+  let init ~input ~degree = { input; degree; sent = false; out = None }
+
+  let round s ~bit:_ ~inbox =
+    if s.out <> None then s, Algorithm.silence ~degree:s.degree
+    else if not s.sent then
+      { s with sent = true }, Algorithm.broadcast ~degree:s.degree s.input
+    else
+      let out = if s.degree = 0 then s.input else Option.get inbox.(0) in
+      { s with out = Some out }, Algorithm.silence ~degree:s.degree
+
+  let output s = s.out
+end
+
+let port0 : Algorithm.t = (module Port0)
+
+(* State words: input, phase (0 fresh, 1 sent, 2 done), output.  A message
+   is the sender's input + 1, so word 0 = 0 still means "empty". *)
+let port0_instance =
+  let int_of = function
+    | Label.Int i -> i
+    | _ -> invalid_arg "port0-probe: flat run on a non-Int label"
+  in
+  {
+    Algorithm.Flat.state_words = 3;
+    msg_words = 1;
+    init = (fun ~node:_ ~input ~degree:_ ~state ~off -> state.(off) <- int_of input);
+    round =
+      (fun ~node:_ ~bit:_ ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
+        match state.(off + 1) with
+        | 0 ->
+          state.(off + 1) <- 1;
+          send.(soff) <- state.(off) + 1;
+          true
+        | 1 ->
+          state.(off + 1) <- 2;
+          state.(off + 2) <- (if degree = 0 then state.(off) else inbox.(ioff) - 1);
+          false
+        | _ -> false);
+    output =
+      (fun ~state ~off ->
+        if state.(off + 1) = 2 then Some (Label.Int state.(off + 2)) else None);
+    has_output = (fun ~state ~off -> state.(off + 1) = 2);
+  }
+
+let () =
+  Algorithm.register_flat port0
+    {
+      Algorithm.Flat.plan =
+        (fun g ->
+          let ints = ref true in
+          Graph.iter_nodes g ~f:(fun v ->
+              match Graph.label g v with Label.Int _ -> () | _ -> ints := false);
+          if !ints then Some port0_instance else None);
+    }
+
+(* The batch memoizes the layout of the last graph it simulated.  Derived
+   graphs share that graph's CSR arrays — [with_labels] both of them,
+   [permute_ports] the offsets — yet need their own layout (or the plan's
+   refusal), so a reused batch must give what a fresh one gives. *)
+let test_batch_across_derived_graphs () =
+  let g = Gen.label_with_ints (Gen.petersen ()) in
+  let n = Graph.n g in
+  let relabeled =
+    Graph.with_labels g (Array.init n (fun v -> Label.Pair (Label.Int v, Label.Int 1)))
+  in
+  let permuted =
+    Graph.permute_ports g
+      (Array.init n (fun v ->
+           let d = Graph.degree g v in
+           Array.init d (fun j -> d - 1 - j)))
+  in
+  check Alcotest.bool "g runs flat" true
+    (Executor.Incremental.is_flat (Executor.Incremental.start port0 g));
+  check Alcotest.bool "relabeled graph is declined" false
+    (Executor.Incremental.is_flat (Executor.Incremental.start port0 relabeled));
+  let bits = random_assignment ~seed:5 n ~len:3 in
+  let batch = Simulation.Batch.create () in
+  List.iter
+    (fun (name, g') ->
+      let fresh =
+        Simulation.run ~batch:(Simulation.Batch.create ()) ~solver:port0 g' ~bits
+      in
+      check_sim_equal ~name:(name ^ " (probe)") fresh
+        (Simulation.run ~solver:(boxed_variant port0) g' ~bits);
+      check_sim_equal ~name (Simulation.run ~batch ~solver:port0 g' ~bits) fresh)
+    [ "g", g; "with_labels", relabeled; "permute_ports", permuted; "g again", g ]
+
 (* ---------- fault / adversary plans pin the boxed path ---------- *)
 
 let injection_plans =
@@ -351,7 +449,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_probe_random;
         ] );
       ( "simulation",
-        [ QCheck_alcotest.to_alcotest prop_simulation_random ] );
+        [
+          QCheck_alcotest.to_alcotest prop_simulation_random;
+          Alcotest.test_case "one batch across derived graphs" `Quick
+            test_batch_across_derived_graphs;
+        ] );
       ( "injection",
         [
           Alcotest.test_case "fault/adversary plans pin the boxed path" `Quick
