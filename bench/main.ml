@@ -769,7 +769,7 @@ let run_bench_json ?history path =
 
 let run_harness () =
   List.iter
-    (Anonet_experiments.Experiments.render stdout)
+    (fun out -> print_string (Anonet_experiments.Experiments.render out))
     (Anonet_experiments.Experiments.run_all ())
 
 (* CI smoke for the million-node pipeline: generate a seeded G(n, p) with

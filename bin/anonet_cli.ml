@@ -203,24 +203,8 @@ let solve_cmd =
          renders in-process and has no job-spec equivalent *)
       let g = parse_graph spec in
       let bundle = parse_bundle problem in
-      let plan =
-        match faults_spec with
-        | None -> None
-        | Some s -> begin
-            match Faults.plan_of_string s with
-            | Ok p -> Some p
-            | Error m -> prerr_endline ("bad --faults spec: " ^ m); exit 1
-          end
-      in
-      let adversary =
-        match adversary_spec with
-        | None -> None
-        | Some s -> begin
-            match Adversary.plan_of_string s with
-            | Ok p -> Some p
-            | Error m -> prerr_endline ("bad --adversary spec: " ^ m); exit 1
-          end
-      in
+      let plan = Option.map Runner.faults_of_spec faults_spec in
+      let adversary = Option.map Runner.adversary_of_spec adversary_spec in
       (match plan with
        | None -> ()
        | Some p -> Printf.printf "fault plan: %s\n" (Faults.plan_to_string p));

@@ -1084,10 +1084,8 @@ let registry : (string * (string * (ctx:Run_ctx.t -> unit -> output))) list =
 
 let all = List.map (fun (id, (descr, _)) -> (id, descr)) registry
 
-let render oc out =
-  output_string oc out.prelude;
-  List.iter (fun r -> output_string oc r.line) out.rows;
-  output_string oc out.coda
+let render out =
+  out.prelude ^ String.concat "" (List.map (fun r -> r.line) out.rows) ^ out.coda
 
 (* Every row doubles as an ["experiment.row"] event, so an NDJSON stream
    of a harness run carries the whole series machine-readably. *)

@@ -3,8 +3,8 @@
     EXPERIMENTS.md.  Each experiment computes a structured {!output} —
     a list of {!row}s with typed fields — and asserts its own invariants
     (a failed claim raises).  {e Printing is the caller's job}: {!render}
-    reproduces the historical stdout format byte-for-byte, so
-    [render stdout] after [run] is exactly the old behavior, while
+    reproduces the historical stdout format byte-for-byte, so printing
+    [render] after [run] is exactly the old behavior, while
     programmatic consumers (the benchmark JSON, the event stream, tests)
     read the fields instead of re-parsing text.
 
@@ -54,6 +54,7 @@ val run : ?ctx:Anonet_runtime.Run_ctx.t -> string -> (output, string) result
 (** Run every experiment in order. *)
 val run_all : ?ctx:Anonet_runtime.Run_ctx.t -> unit -> output list
 
-(** [render oc out] writes the experiment in the historical stdout
-    format: prelude, then each row's [line], then the coda. *)
-val render : out_channel -> output -> unit
+(** [render out] is the experiment in the historical stdout format:
+    prelude, then each row's [line], then the coda.  The one renderer
+    behind [anonet experiments] (CLI and serve) and the bench harness. *)
+val render : output -> string

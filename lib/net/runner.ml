@@ -83,23 +83,15 @@ let bool_key job key =
   | Some "true" -> true
   | Some v -> bad_spec "bad %s=%S (want true or false)" key v
 
-let faults_key job =
-  match Job.get job "faults" with
-  | None -> None
-  | Some s -> begin
-      match Faults.plan_of_string s with
-      | Ok p -> Some p
-      | Error m -> bad_spec "bad faults spec: %s" m
-    end
+let faults_of_spec s =
+  match Faults.plan_of_string s with
+  | Ok p -> p
+  | Error m -> bad_spec "bad faults spec: %s" m
 
-let adversary_key job =
-  match Job.get job "adversary" with
-  | None -> None
-  | Some s -> begin
-      match Adversary.plan_of_string s with
-      | Ok p -> Some p
-      | Error m -> bad_spec "bad adversary spec: %s" m
-    end
+let adversary_of_spec s =
+  match Adversary.plan_of_string s with
+  | Ok p -> p
+  | Error m -> bad_spec "bad adversary spec: %s" m
 
 (* ---------- rendering (pinned to the CLI's historical formats) ---------- *)
 
@@ -120,8 +112,8 @@ let run_solve ~obs job =
   let bundle = bundle_of_spec problem in
   let seed = int_key job "seed" 1 in
   let divergence = float_opt_key job "divergence" in
-  let plan = faults_key job in
-  let adversary = adversary_key job in
+  let plan = Option.map faults_of_spec (Job.get job "faults") in
+  let adversary = Option.map adversary_of_spec (Job.get job "adversary") in
   let b = Buffer.create 256 in
   (match plan with
   | None -> ()
@@ -203,12 +195,6 @@ let run_derandomize ~obs job =
     end
   | m -> bad_spec "unknown method %S (a-star|a-infinity)" m
 
-let render_output out =
-  let module E = Anonet_experiments.Experiments in
-  out.E.prelude
-  ^ String.concat "" (List.map (fun r -> r.E.line) out.E.rows)
-  ^ out.E.coda
-
 let run_experiment ~obs job =
   let module E = Anonet_experiments.Experiments in
   let jobs = int_key job "jobs" 1 in
@@ -225,12 +211,12 @@ let run_experiment ~obs job =
         let outs = E.run_all ~ctx () in
         {
           code = 0;
-          out = String.concat "" (List.map render_output outs);
+          out = String.concat "" (List.map E.render outs);
           err = "";
         }
       | Some id -> begin
           match E.run ~ctx id with
-          | Ok out -> { code = 0; out = render_output out; err = "" }
+          | Ok out -> { code = 0; out = E.render out; err = "" }
           | Error m -> { code = 1; out = ""; err = m }
         end)
 

@@ -34,6 +34,14 @@ val coloring_of_spec :
 val graph_of_spec : string -> Anonet_graph.Graph.t
 (** {!Anonet_graph.Spec.graph} with failures mapped to {!Bad_spec}. *)
 
+val faults_of_spec : string -> Anonet_runtime.Faults.plan
+(** {!Anonet_runtime.Faults.plan_of_string}, failing with
+    [Bad_spec "bad faults spec: ..."]. *)
+
+val adversary_of_spec : string -> Anonet_runtime.Adversary.plan
+(** {!Anonet_runtime.Adversary.plan_of_string}, failing with
+    [Bad_spec "bad adversary spec: ..."]. *)
+
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 (** Runs the job to completion on the calling thread.  Job keys:
 

@@ -26,14 +26,3 @@ let bit t ~node ~round =
       let b = bits.(node) in
       if round <= Bits.length b then Some (Bits.get b (round - 1)) else None
     end
-
-let horizon t ~nodes =
-  match t with
-  | Zero | Random _ -> max_int
-  | Fixed bits ->
-    let h = ref max_int in
-    for v = 0 to nodes - 1 do
-      let len = if v < Array.length bits then Bits.length bits.(v) else 0 in
-      if len < !h then h := len
-    done;
-    !h

@@ -26,8 +26,3 @@ val zero : t
 (** [bit t ~node ~round] is the bit for the given 1-based round, or [None]
     if the tape is exhausted there. *)
 val bit : t -> node:int -> round:int -> bool option
-
-(** [horizon t ~nodes] is the number of whole rounds the tape can feed for
-    all of nodes [0 .. nodes-1]: the minimum prescribed length for fixed
-    tapes, [max_int] otherwise. *)
-val horizon : t -> nodes:int -> int

@@ -8,12 +8,15 @@
 
 type t
 
-(** [record ?ctx algo g ~tape ~max_rounds] executes while recording.  On
-    failure the partial trace is still returned alongside the failure.
+(** [record ?ctx algo g ~tape ~max_rounds] executes while recording: it
+    drives {!Executor.drive}, the loop behind {!Executor.run}, so on equal
+    inputs it ends with the same outcome or failure after the same
+    rounds.  On failure the partial trace is still returned alongside the
+    failure.
 
-    [ctx.faults], when set, instantiates an injector threaded to
-    {!Executor.Incremental.step}; its event log and crash schedule are
-    captured in the trace and shown by {!render}.  [ctx.scramble_seed]
+    [ctx.faults], when set, instantiates an injector for the run; its
+    event log and crash schedule are captured in the trace and shown by
+    {!render}.  [ctx.scramble_seed]
     scrambles inbox port orders as in {!Executor.run}.  [ctx.obs] gets the
     same [executor.rounds]/[executor.messages] counters and [faults.*]
     tallies as a plain run, under a [trace.record] span. *)

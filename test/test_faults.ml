@@ -338,8 +338,9 @@ let test_trace_shows_faults () =
     check "render shows drops" true (contains "drop" r)
 
 let test_trace_detects_doom () =
-  (* The trace recorder performs the same all-crashed check as the plain
-     executor, so `solve --trace` exits with the same code. *)
+  (* `solve --trace` reports a doomed run with the same failure, and so
+     the same exit code, as a plain solve: the recorder drives the
+     executor's round loop, all-crashed check included. *)
   let g = Gen.path 2 in
   let plan =
     {

@@ -123,9 +123,7 @@ let test_tape_fixed () =
   Alcotest.(check (option bool)) "node0 r1" (Some true) (Tape.bit t ~node:0 ~round:1);
   Alcotest.(check (option bool)) "node0 r2" (Some false) (Tape.bit t ~node:0 ~round:2);
   Alcotest.(check (option bool)) "node0 r4 exhausted" None (Tape.bit t ~node:0 ~round:4);
-  Alcotest.(check (option bool)) "node1 r2 exhausted" None (Tape.bit t ~node:1 ~round:2);
-  check_int "horizon" 1 (Tape.horizon t ~nodes:2);
-  check_int "zero horizon" max_int (Tape.horizon Tape.zero ~nodes:5)
+  Alcotest.(check (option bool)) "node1 r2 exhausted" None (Tape.bit t ~node:1 ~round:2)
 
 (* ---------- Executor ---------- *)
 
@@ -292,36 +290,99 @@ let test_prng_hash2 () =
 
 (* ---------- Trace ---------- *)
 
+(* The recorder drives the executor's own round loop, so on equal inputs
+   it must end exactly where a plain run ends: same outcome or failure,
+   same round count, and per-round message counts that add up.  Returns
+   the recorder's result. *)
+let check_trace_matches_run name ?ctx algo g ~tape ~max_rounds =
+  let recorded = Trace.record ?ctx algo g ~tape ~max_rounds in
+  (match Executor.run ?ctx algo g ~tape ~max_rounds, recorded with
+   | Ok o, Ok (t, o') ->
+     check (name ^ ": same outputs") true
+       (Array.for_all2 Label.equal o.Executor.outputs o'.Executor.outputs);
+     check_int (name ^ ": same rounds") o.Executor.rounds (Trace.rounds t);
+     check_int (name ^ ": same messages") o.Executor.messages o'.Executor.messages;
+     check_int (name ^ ": trace message total") o.Executor.messages
+       (List.fold_left ( + ) 0 (Trace.messages_by_round t))
+   | Error f, Error (t, f') ->
+     check (name ^ ": same failure") true (f = f');
+     let last_round =
+       match f with
+       | Executor.Max_rounds_exceeded r -> r
+       | Executor.Tape_exhausted { round } | Executor.All_nodes_crashed { round } ->
+         round - 1
+     in
+     check_int (name ^ ": same rounds") last_round (Trace.rounds t)
+   | Ok _, Error _ | Error _, Ok _ ->
+     Alcotest.failf "%s: run and trace disagree on success" name);
+  recorded
+
 let test_trace_records () =
-  let g = Gen.cycle 5 in
+  let t =
+    match
+      check_trace_matches_run "success" Anonet_algorithms.Rand_coloring.algorithm
+        (Gen.cycle 5) ~tape:(Tape.random ~seed:6) ~max_rounds:400
+    with
+    | Ok (t, _) -> t
+    | Error _ -> Alcotest.fail "should finish"
+  in
+  Array.iter
+    (fun r ->
+      match r with
+      | Some r -> check "output round within run" true (r >= 1 && r <= Trace.rounds t)
+      | None -> Alcotest.fail "every node must have an output round")
+    (Trace.output_rounds t);
+  let rendering = Trace.render t in
+  check "render mentions every node" true
+    (List.for_all
+       (fun v ->
+         let needle = Printf.sprintf "node %2d" v in
+         let rec contains i =
+           i + String.length needle <= String.length rendering
+           && (String.sub rendering i (String.length needle) = needle
+               || contains (i + 1))
+         in
+         contains 0)
+       (List.init 5 Fun.id));
+  let expect_failure name expected = function
+    | Error (_, f) -> check (name ^ ": expected failure") true (f = expected)
+    | Ok _ -> Alcotest.failf "%s: expected a failure" name
+  in
+  expect_failure "max rounds" (Executor.Max_rounds_exceeded 1)
+    (check_trace_matches_run "max rounds" gossip (Gen.path 3) ~tape:Tape.zero
+       ~max_rounds:1);
+  expect_failure "tape exhausted" (Executor.Tape_exhausted { round = 3 })
+    (check_trace_matches_run "tape exhausted" bit_collector (Gen.path 2)
+       ~tape:(Tape.fixed [| Bits.of_string "10"; Bits.of_string "01" |])
+       ~max_rounds:5);
+  let crash_both =
+    {
+      Faults.no_faults with
+      Faults.crashes =
+        [ { Faults.node = 0; from_round = 2; until_round = None };
+          { Faults.node = 1; from_round = 2; until_round = None };
+        ];
+    }
+  in
+  expect_failure "all crashed" (Executor.All_nodes_crashed { round = 2 })
+    (check_trace_matches_run "all crashed"
+       ~ctx:(Run_ctx.make ~faults:crash_both ())
+       gossip (Gen.path 2) ~tape:Tape.zero ~max_rounds:10);
+  let hostile =
+    Run_ctx.make
+      ~faults:(Faults.with_loss 0.2 ~seed:21)
+      ~adversary:(Adversary.eavesdropper 2 ~strength:0.8 ~seed:13)
+      ()
+  in
   match
-    Trace.record Anonet_algorithms.Rand_coloring.algorithm g
-      ~tape:(Tape.random ~seed:6) ~max_rounds:400
+    check_trace_matches_run "faults and adversary" ~ctx:hostile
+      (Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm)
+      (Gen.cycle 6) ~tape:(Tape.random ~seed:5) ~max_rounds:2000
   with
-  | Error _ -> Alcotest.fail "should finish"
-  | Ok (t, outcome) ->
-    check_int "rounds agree" outcome.Executor.rounds (Trace.rounds t);
-    let per_round = Trace.messages_by_round t in
-    check_int "message totals agree" outcome.Executor.messages
-      (List.fold_left ( + ) 0 per_round);
-    Array.iter
-      (fun r ->
-        match r with
-        | Some r -> check "output round within run" true (r >= 1 && r <= Trace.rounds t)
-        | None -> Alcotest.fail "every node must have an output round")
-      (Trace.output_rounds t);
-    let rendering = Trace.render t in
-    check "render mentions every node" true
-      (List.for_all
-         (fun v ->
-           let needle = Printf.sprintf "node %2d" v in
-           let rec contains i =
-             i + String.length needle <= String.length rendering
-             && (String.sub rendering i (String.length needle) = needle
-                 || contains (i + 1))
-           in
-           contains 0)
-         (List.init 5 Fun.id))
+  | Ok (t, _) ->
+    check "faults injected" true (Trace.fault_events t <> []);
+    check "adversary acted" true (Trace.adversary_events t <> [])
+  | Error _ -> Alcotest.fail "faults and adversary: should finish"
 
 let test_trace_partial_on_failure () =
   let g = Gen.path 3 in
